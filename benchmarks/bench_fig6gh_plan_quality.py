@@ -1,6 +1,6 @@
 """Fig. 6(g)(h): plan quality — execution (shipping) cost of compliant vs
 traditional plans under sets C and CR, measured by actually executing
-both plans on generated TPC-H data under the fragment-parallel engine.
+both plans on generated TPC-H data on the fragment scheduler.
 
 Two cost views per plan:
 

@@ -2,7 +2,7 @@
 
 PostBOUND-style split: every request's cost is measured as
 *optimization time* (bind -> annotate -> site-select, or cache lookup +
-rebind on a warm hit) plus *execution time* (sequential engine), so the
+rebind on a warm hit) plus *execution time* (execution engine), so the
 cache's effect is visible where it acts instead of being averaged away.
 
 Workload: the six curated TPC-H queries resubmitted ``REPEAT`` times

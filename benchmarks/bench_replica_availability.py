@@ -173,7 +173,7 @@ def check_contract(workload, result, references):
 def test_replica_availability(worlds, report):
     catalog, database, network, optimizer = worlds[False]
     engine = ExecutionEngine(
-        database, network, policy_guard=optimizer.evaluator, parallel=True
+        database, network, policy_guard=optimizer.evaluator
     )
     references = {
         name: engine.execute(optimizer.optimize(sql).plan)

@@ -185,7 +185,7 @@ def check_contract(workload, result, events, audit_report, references):
 def test_replica_freshness_policy_sweep(report):
     _catalog, database, network, optimizer = build_world()
     engine = ExecutionEngine(
-        database, network, policy_guard=optimizer.evaluator, parallel=True
+        database, network, policy_guard=optimizer.evaluator
     )
     references = {
         name: engine.execute(optimizer.optimize(sql).plan)

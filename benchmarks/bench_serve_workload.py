@@ -127,7 +127,7 @@ def check_contract(workload, result, references):
 def test_serve_workload(world, report):
     catalog, database, network, optimizer = world
     engine = ExecutionEngine(
-        database, network, policy_guard=optimizer.evaluator, parallel=True
+        database, network, policy_guard=optimizer.evaluator
     )
     references = {
         name: engine.execute(optimizer.optimize(sql).plan)

@@ -62,13 +62,12 @@ def traced(engine, plan):
 
 def test_stream_ship_bench(report):
     catalog, database, network, optimizer, auditor = build_world()
-    mono_engine = ExecutionEngine(database, network, parallel=True)
-    stream_engine = ExecutionEngine(database, network, parallel=True, ship=STREAM)
+    mono_engine = ExecutionEngine(database, network)
+    stream_engine = ExecutionEngine(database, network, ship=STREAM)
     faults = parse_fault_spec(FAULTS, locations=catalog.locations)
     chaos_engine = ExecutionEngine(
         database,
         network,
-        parallel=True,
         faults=faults,
         retry_policy=RetryPolicy(max_retries=8),
         ship=STREAM,

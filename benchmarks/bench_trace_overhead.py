@@ -5,7 +5,7 @@ one ContextVar read per SHIP / optimize / query bracket — the <5 %
 disabled-path budget from the tracing design) and cheap enough when
 installed that traced production runs are routine.  This benchmark
 executes the curated TPC-H queries (the Fig 6(g,h) workload) through
-the fragment-parallel engine in both modes and reports wall-clock side
+the fragment scheduler in both modes and reports wall-clock side
 by side, plus the structural invariants that must hold regardless of
 timing noise:
 
@@ -53,7 +53,7 @@ def world():
         except NonCompliantQueryError:
             continue
     engine = ExecutionEngine(
-        database, network, policy_guard=optimizer.evaluator, parallel=True
+        database, network, policy_guard=optimizer.evaluator
     )
     return engine, plans, ComplianceAuditor(policies)
 
@@ -126,7 +126,7 @@ def test_trace_overhead(world, report):
             ["query", "events", "untraced", "traced", "overhead"],
             table_rows,
             title=f"Tracing overhead, TPC-H at scale {SCALE} (best of "
-            f"{REPETITIONS}, fragment-parallel, set {POLICY_SET})",
+            f"{REPETITIONS}, set {POLICY_SET})",
         ),
     )
     assert len(results) >= 4, "workload unexpectedly small"

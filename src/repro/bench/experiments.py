@@ -313,7 +313,7 @@ def plan_quality(
     and report the measured shipping cost, scaled to the traditional plan
     (paper §7.4).
 
-    Plans execute on the fragment-parallel engine, so each row carries
+    Plans execute on the fragment scheduler, so each row carries
     both cost views: the per-SHIP transfer-time *sum* (the paper's
     headline metric) and the simulated critical-path *makespan* (the
     response time a geo-distributed deployment would observe, since
@@ -329,7 +329,7 @@ def plan_quality(
     evaluator = PolicyEvaluator(policies)
     compliant = CompliantOptimizer(catalog, policies, network)
     traditional = TraditionalOptimizer(catalog, network)
-    engine = ExecutionEngine(database, network, parallel=True)
+    engine = ExecutionEngine(database, network)
     binder = Binder(catalog)
 
     from ..execution import independent_pairs
@@ -613,7 +613,7 @@ def chaos_recovery(
     network = default_network()
     policies = curated_policies(catalog, set_name)
     compliant = CompliantOptimizer(catalog, policies, network)
-    baseline = ExecutionEngine(database, network, parallel=True)
+    baseline = ExecutionEngine(database, network)
 
     from ..optimizer.compliant import _strip_sort
 
@@ -640,7 +640,6 @@ def chaos_recovery(
                 database,
                 network,
                 policy_guard=compliant.evaluator,
-                parallel=True,
                 faults=faults,
                 retry_policy=RetryPolicy(max_retries=max_retries),
             )

@@ -8,7 +8,6 @@ curated policy sets, and both optimizers:
     python -m repro explain  "SELECT ..."  [--set CR] [--traditional]
                                            [--traits] [--result-location L]
     python -m repro run      "SELECT ..."  [--set CR] [--scale 0.005]
-                                           [--parallel] [--workers N]
                                            [--executor {row,batch}]
                                            [--explain-fragments]
                                            [--faults SPEC] [--retries N]
@@ -48,7 +47,7 @@ replicas per-site refresh schedules on the simulated clock
 refresh faults and ``random:SEED``; grammar mirrors ``--faults``) and
 ``--staleness-policy {prefer-fresh,wait-for-refresh,read-stale,plan-only}``
 to pick how stale replicas are handled at fragment admission.  Either
-flag turns on *runtime* freshness checking (implies ``--parallel``):
+flag turns on *runtime* freshness checking:
 every scan-bearing admission and failover decision re-derives each
 replica's staleness at that instant and demotes replicas violating
 ``--max-staleness``.  ``audit`` accepts the same ``--refresh`` spec and
@@ -191,8 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--refresh",
             default=None,
             metavar="SPEC",
-            help="give replicas refresh schedules on the simulated clock "
-            "(implies --parallel); ';'-separated events: "
+            help="give replicas refresh schedules on the simulated clock; "
+            "';'-separated events: "
             "every:db.table@SITE@PERIOD[+PHASE], "
             "pause:db.table@SITE@T[+DUR], "
             "degrade:db.table@SITE@T[+DUR]xFACTOR, random:SEED",
@@ -202,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             choices=list(FRESHNESS_MODES),
             help="how stale replicas are handled at fragment admission "
-            "(implies --parallel; default with --refresh: prefer-fresh). "
+            "(default with --refresh: prefer-fresh). "
             "'plan-only' records staleness without enforcing the bound",
         )
 
@@ -251,18 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--limit", type=int, default=20, help="print at most N rows")
     run.add_argument(
-        "--parallel",
-        action="store_true",
-        help="execute plan fragments concurrently and report the simulated "
-        "critical-path makespan alongside the shipping-time sum",
-    )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="thread-pool size for --parallel (default: min(8, #cores))",
-    )
-    run.add_argument(
         "--executor",
         default="row",
         choices=["row", "batch"],
@@ -273,14 +260,14 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--explain-fragments",
         action="store_true",
-        help="print the per-site fragment DAG (and, with --parallel, "
-        "per-fragment simulated timings) before the rows",
+        help="print the per-site fragment DAG before the rows and the "
+        "per-fragment simulated timings after them",
     )
     run.add_argument(
         "--faults",
         default=None,
         metavar="SPEC",
-        help="inject WAN faults (implies --parallel); ';'-separated events: "
+        help="inject WAN faults; ';'-separated events: "
         "crash:SITE@T, drop:SRC->DST@T[+DUR], slow:SRC->DST@T[+DUR]xFACTOR, "
         "flaky:SRC->DST@T+DUR, random:SEED",
     )
@@ -417,12 +404,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="operator backend (default: row)",
     )
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="thread-pool size per query (default: min(8, #cores))",
-    )
-    serve.add_argument(
         "--trace",
         default=None,
         metavar="FILE",
@@ -548,10 +529,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         retry_policy = None
         if args.faults is not None:
             faults = parse_fault_spec(args.faults, locations=catalog.locations)
-            parallel = True  # faults live on the fragment scheduler's clock
-        else:
-            # Freshness checks also live on the simulated clock.
-            parallel = args.parallel or freshness is not None
         if args.retries is not None or args.fragment_timeout is not None:
             defaults = RetryPolicy()
             retry_policy = RetryPolicy(
@@ -564,8 +541,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             database,
             network,
             policy_guard=optimizer.evaluator,
-            parallel=parallel,
-            max_workers=args.workers,
             faults=faults,
             retry_policy=retry_policy,
             executor=args.executor,
@@ -586,10 +561,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     summary = (
         f"\n{output.metrics.total_rows_shipped} rows / "
         f"{output.metrics.total_bytes_shipped} bytes shipped across borders "
-        f"({output.simulated_cost:.3f} s simulated transfer time)"
+        f"({output.simulated_cost:.3f} s simulated transfer time); "
+        f"{output.makespan_seconds:.3f} s simulated makespan"
     )
-    if parallel:
-        summary += f"; {output.makespan_seconds:.3f} s simulated makespan"
     wire_bytes = output.metrics.total_wire_bytes_shipped
     if wire_bytes != output.metrics.total_bytes_shipped:
         summary += (
@@ -636,7 +610,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{output.metrics.freshness_demotions} freshness demotions",
             file=sys.stderr,
         )
-    if args.explain_fragments and parallel:
+    if args.explain_fragments:
         print("\nfragment timings (simulated WAN clock):", file=sys.stderr)
         for record in output.metrics.fragments:
             print(
@@ -700,7 +674,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         faults=faults,
         retry_policy=retry_policy,
         executor=args.executor,
-        max_workers=args.workers,
         freshness=freshness,
         ship=_build_ship(args),
     )

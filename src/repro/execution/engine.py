@@ -8,20 +8,17 @@ plans the optimizer accepted; here we additionally *verify*): a plan that
 would ship restricted data is refused with
 :class:`~repro.errors.ComplianceViolationError` before any data moves.
 
-Two execution modes produce row-identical results:
+Every plan runs on the fragment scheduler
+(:mod:`repro.execution.scheduler`): the plan is cut at SHIP boundaries
+into per-site fragments (:mod:`repro.execution.fragments`), evaluated
+producers before consumers, while an event-driven simulation reports
+``shipping_seconds`` (the sum of α + β·bytes over all SHIPs) and
+``makespan_seconds`` (the critical-path response time).
 
-* **sequential** (default) — one thread evaluates the whole tree
-  depth-first; cost is reported as the sum of SHIP transfer times.
-* **parallel** (``parallel=True``) — the plan is cut at SHIP boundaries
-  into per-site fragments (:mod:`repro.execution.fragments`) which run
-  concurrently on a thread pool while an event-driven simulation
-  computes ``makespan_seconds``, the critical-path response time under
-  the ``α + β·bytes`` model (:mod:`repro.execution.scheduler`).
-
-Orthogonally, ``executor`` selects the operator backend for either mode:
-``"row"`` (tuple-at-a-time, the default) or ``"batch"`` (columnar with
-compiled batch kernels, :mod:`repro.execution.vectorized`) — also
-row-identical by construction; see docs/EXECUTION.md.
+``executor`` selects the operator backend: ``"row"`` (tuple-at-a-time,
+the default) or ``"batch"`` (columnar with compiled batch kernels,
+:mod:`repro.execution.vectorized`) — row-identical by construction; see
+docs/EXECUTION.md.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from ..errors import ComplianceViolationError, ExecutionError
+from ..errors import ComplianceViolationError
 from ..geo import GeoDatabase, NetworkModel, synthetic_network
 from ..plan import PhysicalPlan
 from ..policy import PolicyEvaluator
@@ -39,12 +36,7 @@ from .faults import FaultPlan
 from .freshness import FreshnessPolicy
 from .metrics import ExecutionMetrics, PartialFailure
 from .recovery import RetryPolicy
-from .scheduler import (
-    EXECUTOR_BACKENDS,
-    FragmentScheduler,
-    validate_executor_name,
-    validate_worker_count,
-)
+from .scheduler import FragmentScheduler, validate_executor_name
 from .wire import ShipConfig
 
 
@@ -72,8 +64,7 @@ class ExecutionResult:
 
     @property
     def makespan_seconds(self) -> float:
-        """Simulated critical-path response time (fragment-parallel
-        execution only; 0.0 after a sequential run)."""
+        """Simulated critical-path response time."""
         return self.metrics.makespan_seconds
 
     @property
@@ -95,43 +86,24 @@ class ExecutionEngine:
         database: GeoDatabase,
         network: NetworkModel | None = None,
         policy_guard: PolicyEvaluator | None = None,
-        parallel: bool = False,
-        max_workers: int | None = None,
         faults: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
         executor: str = "row",
         freshness: "FreshnessPolicy | None" = None,
         ship: "ShipConfig | None" = None,
     ) -> None:
-        validate_worker_count(max_workers)  # reject 0/negative up front
         self.database = database
         self.network = network or synthetic_network(database.catalog.locations)
         self.policy_guard = policy_guard
-        self.parallel = parallel
-        self.max_workers = max_workers
         self.faults = faults
         self.retry_policy = retry_policy
         self.executor = validate_executor_name(executor)
         self.freshness = freshness
-        #: Wire format every SHIP edge uses — sequential executors and
-        #: the fragment scheduler alike, so the two modes stay
-        #: byte-equivalent on logical sizes.  Default: legacy monolithic
+        #: Wire format every SHIP edge uses.  Default: legacy monolithic
         #: uncompressed transfers.
         self.ship = ship or ShipConfig()
-        if faults and not parallel:
-            raise ExecutionError(
-                "fault injection requires the fragment scheduler; construct "
-                "the engine with parallel=True"
-            )
-        if freshness is not None and not parallel:
-            raise ExecutionError(
-                "runtime freshness checking runs on the fragment scheduler's "
-                "simulated clock; construct the engine with parallel=True"
-            )
 
-    def execute(
-        self, plan: "PhysicalPlan | Any", parallel: bool | None = None
-    ) -> ExecutionResult:
+    def execute(self, plan: "PhysicalPlan | Any") -> ExecutionResult:
         """Run ``plan``; raises :class:`ComplianceViolationError` when a
         policy guard is installed and the plan is non-compliant.
 
@@ -142,8 +114,6 @@ class ExecutionEngine:
         skipped — that is what makes a warm cache hit skip compliance
         machinery end to end without weakening the guard for any other
         plan source.
-
-        ``parallel`` overrides the engine-level default for one call.
         """
         pre_validated = False
         if not isinstance(plan, PhysicalPlan):
@@ -161,44 +131,23 @@ class ExecutionEngine:
                 raise ComplianceViolationError(
                     f"refusing to execute non-compliant plan: {details}"
                 )
-        use_parallel = self.parallel if parallel is None else parallel
-        if self.faults and not use_parallel:
-            raise ExecutionError(
-                "fault injection requires the fragment scheduler; pass "
-                "parallel=True"
-            )
-        if self.freshness is not None and not use_parallel:
-            raise ExecutionError(
-                "runtime freshness checking runs on the fragment scheduler's "
-                "simulated clock; pass parallel=True"
-            )
         recorder = current_recorder()
         query = None
         if recorder is not None:
-            query = recorder.begin_query(
-                executor=self.executor, parallel=use_parallel
-            )
+            query = recorder.begin_query(executor=self.executor)
         start = time.perf_counter()
         try:
-            if use_parallel:
-                scheduler = FragmentScheduler(
-                    self.database,
-                    self.network,
-                    max_workers=self.max_workers,
-                    faults=self.faults,
-                    retry_policy=self.retry_policy,
-                    compliance_guard=self.policy_guard,
-                    executor=self.executor,
-                    freshness=self.freshness,
-                    ship=self.ship,
-                )
-                (columns, rows), metrics = scheduler.run(plan)
-            else:
-                metrics = ExecutionMetrics()
-                executor = EXECUTOR_BACKENDS[self.executor](
-                    self.database, self.network, metrics, ship=self.ship
-                )
-                columns, rows = executor.run(plan)
+            scheduler = FragmentScheduler(
+                self.database,
+                self.network,
+                faults=self.faults,
+                retry_policy=self.retry_policy,
+                compliance_guard=self.policy_guard,
+                executor=self.executor,
+                freshness=self.freshness,
+                ship=self.ship,
+            )
+            (columns, rows), metrics = scheduler.run(plan)
         except BaseException:
             if recorder is not None:
                 recorder.end_query(query, at=0.0, status="error")

@@ -21,16 +21,13 @@ Two cost views coexist:
 
 As an observability hook the executor additionally records one
 :class:`OperatorRecord` per evaluated operator (rows out, self compute
-time) and — when the fragment scheduler runs — one
-:class:`FragmentRecord` per fragment (measured local compute plus the
-simulated start/finish instants on the WAN clock).
+time) and one :class:`FragmentRecord` per fragment (measured local
+compute plus the simulated start/finish instants on the WAN clock).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from ..geo import NetworkModel
 
 
 @dataclass
@@ -75,7 +72,7 @@ class OperatorRecord:
 
 @dataclass
 class FragmentRecord:
-    """One fragment execution under the parallel scheduler.
+    """One fragment execution under the fragment scheduler.
 
     ``compute_seconds`` is measured wall-clock work; the ``sim_*``
     instants live on the simulated WAN clock, where local compute is
@@ -168,12 +165,11 @@ class ExecutionMetrics:
     ships: list[ShipRecord] = field(default_factory=list)
     operators: list[OperatorRecord] = field(default_factory=list)
     fragments: list[FragmentRecord] = field(default_factory=list)
-    #: Simulated critical-path response time; only populated by the
-    #: fragment scheduler (``ExecutionEngine(..., parallel=True)``).
-    #: When the scheduler ran with a clock offset (the query server
-    #: admits queries at shared-clock instants) this is the *absolute*
-    #: finish instant; subtract :attr:`start_at_seconds` for the
-    #: query's own service time.
+    #: Simulated critical-path response time.  When the scheduler ran
+    #: with a clock offset (the query server admits queries at
+    #: shared-clock instants) this is the *absolute* finish instant;
+    #: subtract :attr:`start_at_seconds` for the query's own service
+    #: time.
     makespan_seconds: float = 0.0
     #: Simulated instant the scheduler's clock started at (0.0 except
     #: under the query server).
@@ -182,7 +178,7 @@ class ExecutionMetrics:
     #: breaker (query server only; 0 without a breaker registry).
     breaker_fast_fails: int = 0
     #: Per-site simulated clock after the last delivery event at that
-    #: site (fragment scheduler only).
+    #: site.
     site_clock_seconds: dict[str, float] = field(default_factory=dict)
     #: Failovers performed during this execution (fault injection only).
     recoveries: list[RecoveryRecord] = field(default_factory=list)
@@ -260,36 +256,8 @@ class ExecutionMetrics:
 
     @property
     def local_compute_seconds(self) -> float:
-        """Measured wall-clock compute, summed over fragments when the
-        scheduler ran, else over per-operator self times."""
-        if self.fragments:
-            return sum(f.compute_seconds for f in self.fragments)
-        return sum(op.seconds for op in self.operators)
-
-    def record_ship(
-        self,
-        network: NetworkModel,
-        source: str,
-        target: str,
-        rows: int,
-        nbytes: int,
-        wire_bytes: int | None = None,
-        chunks: int = 1,
-    ) -> None:
-        seconds = network.transfer_time(
-            source, target, nbytes if wire_bytes is None else wire_bytes
-        )
-        self.ships.append(
-            ShipRecord(
-                source,
-                target,
-                rows,
-                nbytes,
-                seconds,
-                wire_bytes=wire_bytes,
-                chunks=chunks,
-            )
-        )
+        """Measured wall-clock compute, summed over fragments."""
+        return sum(f.compute_seconds for f in self.fragments)
 
     def record_operator(
         self, operator: str, location: str, rows_out: int, seconds: float
@@ -301,5 +269,4 @@ class ExecutionMetrics:
         object (the scheduler merges in deterministic fragment order)."""
         self.rows_scanned += other.rows_scanned
         self.operators_executed += other.operators_executed
-        self.ships.extend(other.ships)
         self.operators.extend(other.operators)

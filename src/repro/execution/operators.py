@@ -2,19 +2,21 @@
 
 Each operator consumes fully-materialized child results; geo-distributed
 queries in this reproduction are small enough that pipelining would only
-add complexity.  SHIP is where the geo-distribution becomes observable:
-it counts rows/bytes and charges simulated transfer time to the metrics.
+add complexity.  An executor evaluates one fragment body: a cut SHIP leaf
+resolves to the rows its producer fragment delivered, which the fragment
+scheduler (:mod:`repro.execution.scheduler`) has already encoded, billed
+and traced.
 """
 
 from __future__ import annotations
 
 import datetime
 import time
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from ..errors import ExecutionError
 from ..expr import AggregateFunction, compile_expression, compile_predicate
-from ..geo import GeoDatabase, NetworkModel
+from ..geo import GeoDatabase
 from ..plan import (
     Filter,
     HashAggregate,
@@ -27,9 +29,8 @@ from ..plan import (
     TableScan,
     UnionAll,
 )
-from ..trace import current_recorder
 from .metrics import ExecutionMetrics
-from .wire import ShipConfig, encode_ship
+from .wire import encode_ship  # noqa: F401 - perfbench/spans.py wraps this name
 
 Row = tuple
 Result = tuple[list[str], list[Row]]  # (column names, rows) — unpacked shape
@@ -93,27 +94,35 @@ class RowBatch:
         return self._nbytes
 
 
+def shipped_input(inputs: Mapping[int, RowBatch], node: Ship) -> RowBatch:
+    """The delivered rows of cut SHIP leaf ``node``."""
+    try:
+        return inputs[id(node)]
+    except KeyError:
+        raise ExecutionError(
+            f"fragment body contains an un-cut SHIP ({node.describe()})"
+        ) from None
+
+
 class OperatorExecutor:
     """Recursive evaluator for located physical plans.
 
     Every evaluated operator leaves an :class:`OperatorRecord` in the
     metrics (rows out plus *self* wall-clock time, children excluded) so
     fragment- and plan-level compute can be attributed precisely.
+    ``inputs`` maps ``id(ship)`` of each cut SHIP leaf to the rows its
+    producer fragment delivered.
     """
 
     def __init__(
         self,
         database: GeoDatabase,
-        network: NetworkModel,
         metrics: ExecutionMetrics,
-        ship: ShipConfig | None = None,
+        inputs: Mapping[int, RowBatch] | None = None,
     ) -> None:
         self.database = database
-        self.network = network
         self.metrics = metrics
-        #: Wire format for SHIP edges (``None``/default = legacy
-        #: monolithic uncompressed transfers).
-        self.ship = ship or ShipConfig()
+        self.inputs = inputs or {}
         self._child_seconds: list[float] = []
 
     def run(self, node: PhysicalPlan) -> RowBatch:
@@ -195,46 +204,7 @@ class OperatorExecutor:
         return columns, rows
 
     def _ship(self, node: Ship) -> RowBatch:
-        assert node.child is not None
-        batch = self.run(node.child)
-        nbytes = batch.nbytes
-        wire_bytes: int | None = None
-        chunks: int | None = None
-        if self.ship.active:
-            # Encode for the wire and hand the *decoded* rows onward, so
-            # the codec sits on the data path: a round-trip bug diverges
-            # rows, not just byte counts.
-            wire = encode_ship(
-                batch.columns, batch.rows, logical_bytes=nbytes, config=self.ship
-            )
-            wire_bytes = wire.wire_bytes
-            chunks = len(wire.chunks)
-            batch = RowBatch(batch.columns, wire.decode_rows(), nbytes=nbytes)
-        self.metrics.record_ship(
-            self.network,
-            node.source,
-            node.target,
-            len(batch.rows),
-            nbytes,
-            wire_bytes=wire_bytes,
-            chunks=1 if chunks is None else chunks,
-        )
-        recorder = current_recorder()
-        if recorder is not None:
-            recorder.record_local_ship(
-                node,
-                rows=len(batch.rows),
-                nbytes=nbytes,
-                columns=batch.columns,
-                seconds=self.network.transfer_time(
-                    node.source,
-                    node.target,
-                    nbytes if wire_bytes is None else wire_bytes,
-                ),
-                wire_bytes=wire_bytes,
-                chunks=chunks,
-            )
-        return batch
+        return shipped_input(self.inputs, node)
 
     # -- joins -----------------------------------------------------------------
 

@@ -1,17 +1,12 @@
-"""Fragment-parallel plan execution with a simulated, fault-injectable
+"""Plan execution: fragment-by-fragment, on a simulated, fault-injectable
 WAN clock.
 
-The sequential :class:`~repro.execution.operators.OperatorExecutor`
-evaluates a located plan depth-first on one thread, so independent
-subtrees that real sites would run concurrently execute one after the
-other — and the only cost it can report is the *sum* of all SHIP
-transfer times.  This scheduler executes the
-:class:`~repro.execution.fragments.FragmentDAG` instead:
+Every plan runs here.  The scheduler cuts a located plan at its SHIP
+boundaries into a :class:`~repro.execution.fragments.FragmentDAG` and
+evaluates the fragment bodies inline on the calling thread, producers
+before consumers (the DAG's topological order), while it advances a
+simulated clock along the DAG's edges:
 
-* **Real concurrency** — fragments whose inputs are complete run on a
-  thread pool, so independent per-site work overlaps for actual
-  wall-clock speedup (the row results are identical to the sequential
-  engine's; equivalence is locked down by the executor test suite).
 * **Simulated response time** — an event-driven simulation advances one
   clock per site.  A fragment's simulated work starts when its last
   input transfer has arrived and finishes when its own output has been
@@ -45,19 +40,19 @@ slow-link degradation, and failover re-deliveries, so it may exceed the
 (successful-attempt) shipping sum; the chaos benchmark reports exactly
 this inflation.
 
-All simulation and recovery bookkeeping runs in the single-threaded
-coordinator loop; worker threads only evaluate operators.  Injected
+Concurrency between sites exists only on the simulated clock: the
+operators are pure Python, so a thread pool could not overlap them
+under the GIL, and running them inline makes every run — trace
+emission order included — deterministic by construction.  Injected
 faults surface as :class:`~repro.errors.FaultError` subclasses and are
 absorbed by retry/failover/degradation — genuine operator failures are
-*not* absorbed: they cancel all pending sibling fragments and propagate
-to the caller unchanged.
+*not* absorbed: they propagate to the caller unchanged, and no later
+fragment runs.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 
 from ..catalog import FRESHNESS_EPS
 from ..errors import (
@@ -80,7 +75,7 @@ from ..trace import (
     current_recorder,
     encode_payload,
 )
-from ..validation import validate_positive_int, validate_timeout
+from ..validation import validate_timeout
 from ..plan import Filter, PhysicalPlan, Project, Ship, TableScan, UnionAll
 from .faults import FaultPlan
 from .fragments import Fragment, FragmentDAG, fragment_plan
@@ -95,86 +90,14 @@ from .metrics import (
 )
 from .operators import OperatorExecutor, RowBatch
 from .recovery import ChunkLedger, FailoverPlanner, RetryPolicy
-from .vectorized import BatchOperatorExecutor, ColumnBatch
+from .vectorized import BatchOperatorExecutor
 from .wire import ShipConfig, ShipTransfer, WireChunk, encode_ship
 
 
-def validate_worker_count(max_workers: int | None) -> int:
-    """Resolve and validate a thread-pool size; ``None`` means the
-    default of ``min(8, cores)``.  Zero and negative counts are rejected
-    here with a clear typed error (the shared
-    :func:`~repro.validation.validate_positive_int`) instead of
-    surfacing as an opaque crash deep inside
-    :class:`ThreadPoolExecutor` (or, worse for 0, silently falling back
-    to the default)."""
-    if max_workers is None:
-        return min(8, os.cpu_count() or 1)
-    return validate_positive_int(max_workers, "worker count")
-
-
-class _FragmentExecutor(OperatorExecutor):
-    """Evaluator for one fragment body: cut SHIP leaves resolve to the
-    producer fragments' already-computed results instead of recursing.
-
-    The transfer itself is accounted once, by the coordinator, when the
-    consumer is admitted — so metrics totals match the sequential engine.
-    """
-
-    def __init__(
-        self,
-        database: GeoDatabase,
-        network: NetworkModel,
-        metrics: ExecutionMetrics,
-        ship_results: dict[int, RowBatch],
-    ) -> None:
-        super().__init__(database, network, metrics)
-        self._ship_results = ship_results
-
-    def _ship(self, node: Ship) -> RowBatch:
-        try:
-            return self._ship_results[id(node)]
-        except KeyError:  # pragma: no cover - guards a fragmenter invariant
-            raise ExecutionError(
-                f"fragment body contains an un-cut SHIP ({node.describe()})"
-            ) from None
-
-
-class _BatchFragmentExecutor(BatchOperatorExecutor):
-    """Columnar twin of :class:`_FragmentExecutor`: cut SHIP leaves are
-    where shipped row batches re-enter columnar form (the SHIP-boundary
-    conversion rule — fragments always exchange rows)."""
-
-    def __init__(
-        self,
-        database: GeoDatabase,
-        network: NetworkModel,
-        metrics: ExecutionMetrics,
-        ship_results: dict[int, RowBatch],
-    ) -> None:
-        super().__init__(database, network, metrics)
-        self._ship_results = ship_results
-
-    def _ship(self, node: Ship) -> ColumnBatch:
-        try:
-            batch = self._ship_results[id(node)]
-        except KeyError:  # pragma: no cover - guards a fragmenter invariant
-            raise ExecutionError(
-                f"fragment body contains an un-cut SHIP ({node.describe()})"
-            ) from None
-        return ColumnBatch.from_rows(batch.columns, batch.rows)
-
-
-#: Sequential executor backend per ``--executor`` name.
+#: Operator backend per ``--executor`` name.
 EXECUTOR_BACKENDS: dict[str, type] = {
     "row": OperatorExecutor,
     "batch": BatchOperatorExecutor,
-}
-
-#: Fragment-body twin of each backend (cut-SHIP leaves resolved from
-#: already-computed producer results).
-_FRAGMENT_EXECUTORS: dict[str, type] = {
-    "row": _FragmentExecutor,
-    "batch": _BatchFragmentExecutor,
 }
 
 
@@ -189,14 +112,13 @@ def validate_executor_name(executor: str) -> str:
 
 
 class FragmentScheduler:
-    """Executes a located plan fragment-by-fragment on a thread pool,
-    optionally under an injected fault schedule."""
+    """Executes a located plan fragment by fragment, optionally under an
+    injected fault schedule."""
 
     def __init__(
         self,
         database: GeoDatabase,
         network: NetworkModel,
-        max_workers: int | None = None,
         faults: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
         compliance_guard=None,  # PolicyEvaluator | None
@@ -207,7 +129,6 @@ class FragmentScheduler:
     ) -> None:
         self.database = database
         self.network = network
-        self.max_workers = validate_worker_count(max_workers)
         self.faults = faults if faults is not None else FaultPlan()
         self.retry_policy = retry_policy or RetryPolicy()
         self.compliance_guard = compliance_guard
@@ -237,8 +158,8 @@ class FragmentScheduler:
         ``deadline`` (absolute, simulated) cancels the query
         cooperatively at the next fragment boundary once the clock
         passes it, raising a typed
-        :class:`~repro.errors.DeadlineExceeded` (pending sibling
-        fragments are cancelled by the pool-shutdown path)."""
+        :class:`~repro.errors.DeadlineExceeded` (no later fragment
+        runs)."""
         if start_at < 0.0:
             raise ExecutionError(f"start_at must be >= 0, got {start_at}")
         validate_timeout(deadline, "deadline")
@@ -253,8 +174,7 @@ class FragmentScheduler:
 class _ChaosRun:
     """State of one scheduled execution: the (possibly re-placed) plan
     and DAG, per-fragment results and simulated instants, and every
-    fault-recovery decision.  All methods run on the coordinator thread
-    except :meth:`_compute`, the worker-side operator evaluation."""
+    fault-recovery decision."""
 
     #: Hard cap on failovers per run — each failover excludes a site for
     #: its fragment, so this is never reached on sane site counts; it
@@ -341,8 +261,7 @@ class _ChaosRun:
         self._scan_reads: dict[int, tuple[ScanRead, ...]] = {}
         #: Sites a fragment has already failed at (never retried).
         self._excluded: dict[int, set[str]] = {}
-        #: Trace recorder resolved once on the coordinator thread (the
-        #: pool's worker threads never emit).  ``None`` when disabled.
+        #: Trace recorder resolved once per run.  ``None`` when disabled.
         self.recorder = current_recorder()
         #: Encoded payload descriptor per producer fragment index.  A
         #: payload depends only on the fragment's logical content and
@@ -352,83 +271,45 @@ class _ChaosRun:
         #: itself, so :meth:`_failover` drops that fragment's entry.
         self._payload_cache: dict[int, dict] = {}
 
-    # -- worker side -----------------------------------------------------------
+    # -- scheduling loop --------------------------------------------------------
+
+    def execute(self) -> None:
+        """Run every fragment, producers before consumers.  Admission
+        (the simulated fault/recovery bookkeeping) happens just before
+        the fragment body runs; an unrecoverable injected fault records a
+        :class:`PartialFailure` and stops the run, and a genuine operator
+        failure propagates before any later fragment runs."""
+        for index in range(len(self.dag.fragments)):
+            try:
+                self._admit(index)
+            except FaultError as error:
+                self.failure = PartialFailure(
+                    fragment_index=index,
+                    location=self.dag.fragments[index].location,
+                    error_type=type(error).__name__,
+                    message=str(error),
+                    at_seconds=getattr(error, "at", 0.0) or 0.0,
+                )
+                return
+            self.results[index] = self._compute(self.dag.fragments[index])
 
     def _compute(self, fragment: Fragment) -> tuple[RowBatch, float]:
-        ship_results = {
+        """Evaluate one fragment body; its cut SHIP leaves resolve to the
+        producers' (wire-decoded) outputs."""
+        inputs = {
             id(entry.ship): self.results_decoded.get(
                 entry.producer, self.results[entry.producer][0]
             )
             for entry in fragment.inputs
         }
-        executor = _FRAGMENT_EXECUTORS[self.scheduler.executor](
-            self.scheduler.database,
-            self.scheduler.network,
-            self.fragment_metrics[fragment.index],
-            ship_results,
+        executor = EXECUTOR_BACKENDS[self.scheduler.executor](
+            self.scheduler.database, self.fragment_metrics[fragment.index], inputs
         )
         start = time.perf_counter()
         out = executor.run(fragment.root)
         return out, time.perf_counter() - start
 
-    # -- coordinator: scheduling loop ------------------------------------------
-
-    def execute(self) -> None:
-        """Run every fragment, producers before consumers, overlapping
-        independent fragments on the pool.  Admission (the simulated
-        fault/recovery bookkeeping) happens just before submission; a
-        genuine operator failure cancels all pending sibling futures and
-        re-raises; an unrecoverable injected fault cancels them and
-        records a :class:`PartialFailure` instead."""
-        waiting_on = {f.index: len(f.inputs) for f in self.dag.fragments}
-        futures: dict[Future, int] = {}
-
-        def submit(pool: ThreadPoolExecutor, index: int) -> bool:
-            """Admit + submit one fragment; False aborts the run."""
-            try:
-                self._admit(index)
-            except FaultError as error:
-                fragment = self.dag.fragments[index]
-                self.failure = PartialFailure(
-                    fragment_index=index,
-                    location=fragment.location,
-                    error_type=type(error).__name__,
-                    message=str(error),
-                    at_seconds=getattr(error, "at", 0.0) or 0.0,
-                )
-                return False
-            futures[pool.submit(self._compute, self.dag.fragments[index])] = index
-            return True
-
-        with ThreadPoolExecutor(max_workers=self.scheduler.max_workers) as pool:
-            try:
-                for fragment in self.dag.fragments:
-                    if not fragment.inputs:
-                        if not submit(pool, fragment.index):
-                            return
-                while futures:
-                    done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                    ready: list[int] = []
-                    for future in done:
-                        index = futures.pop(future)
-                        self.results[index] = future.result()  # re-raises bugs
-                        consumer = self.dag.fragments[index].consumer
-                        if consumer is not None:
-                            waiting_on[consumer] -= 1
-                            if waiting_on[consumer] == 0:
-                                ready.append(consumer)
-                    for index in ready:
-                        if not submit(pool, index):
-                            return
-            finally:
-                # On any abort — operator bug or unrecoverable fault —
-                # cancel queued siblings instead of letting them run to
-                # completion during pool shutdown; in-flight ones are
-                # joined by the pool's __exit__.
-                for future in futures:
-                    future.cancel()
-
-    # -- coordinator: simulated admission with faults ---------------------------
+    # -- simulated admission with faults ----------------------------------------
 
     def _admit(self, index: int) -> None:
         """Fix fragment ``index``'s simulated start: deliver every input
@@ -534,8 +415,7 @@ class _ChaosRun:
         """Cooperative load shedding: once the simulated clock passes
         the query's (absolute) deadline, admitting more fragments is
         wasted work the caller no longer wants.  The raise propagates
-        through the scheduling loop, whose shutdown path cancels every
-        pending sibling future.
+        out of the scheduling loop, so no later fragment runs.
 
         Checked only *before* a fragment commits new WAN work (its
         admission ``base``): if the deadline passes while a fragment's
@@ -558,7 +438,7 @@ class _ChaosRun:
             f"no producer of f{fragment.index} at {site!r}"
         )
 
-    # -- coordinator: runtime freshness ------------------------------------------
+    # -- runtime freshness ------------------------------------------------------
 
     def _freshness_gate(self, index: int, start: float) -> tuple[str, float]:
         """Re-check replica staleness for fragment ``index`` at its
@@ -677,8 +557,7 @@ class _ChaosRun:
                         table=read.table,
                         site=read.site,
                         staleness_at_read=read.staleness_seconds,
-                    ),
-                    stable=False,
+                    )
                 )
 
     #: Operators that can emit output rows as input rows arrive — a
@@ -875,23 +754,41 @@ class _ChaosRun:
             at: float,
             seconds: float | None = None,
         ) -> None:
-            if self.recorder is not None:
-                self.recorder.emit(
-                    ChunkEvent(
-                        at=at,
-                        source=source,
-                        target=target_site,
-                        chunk=chunk.index,
-                        of=total,
-                        rows=chunk.rows,
-                        bytes=chunk.nbytes,
-                        attempt=attempt,
-                        outcome=outcome,
-                        seconds=seconds,
-                        producer=producer_index,
-                        consumer=consumer_index,
-                    ),
-                    stable=False,
+            if self.recorder is None:
+                return
+            self.recorder.emit(
+                ChunkEvent(
+                    at=at,
+                    source=source,
+                    target=target_site,
+                    chunk=chunk.index,
+                    of=total,
+                    rows=chunk.rows,
+                    bytes=chunk.nbytes,
+                    attempt=attempt,
+                    outcome=outcome,
+                    seconds=seconds,
+                    producer=producer_index,
+                    consumer=consumer_index,
+                )
+            )
+            if outcome not in ("transient", "delivered"):
+                # The transfer fails here: roll it up into the one
+                # payload-carrying descriptor its chunk events join to,
+                # or the auditor could not check them.
+                self._trace_attempt(
+                    producer_index,
+                    consumer_index,
+                    source,
+                    target_site,
+                    batch,
+                    wire.logical_bytes,
+                    self.ledger.attempts(producer_index, target_site),
+                    outcome,
+                    at,
+                    None,
+                    wire_bytes=wire.wire_bytes,
+                    chunks=total,
                 )
 
         for k in self.ledger.pending(producer_index, target_site, total):
@@ -902,7 +799,7 @@ class _ChaosRun:
                 chunk_attempts += 1
                 self.ledger.note_attempt(producer_index, target_site)
                 try:
-                    seconds = self.wan.attempt_chunk_transfer(
+                    seconds = self.wan.attempt_transfer(
                         source,
                         target_site,
                         chunk.nbytes,
@@ -1019,10 +916,8 @@ class _ChaosRun:
         wire_bytes: int | None = None,
         chunks: int | None = None,
     ) -> None:
-        """Emit one ship-attempt event (coordinator thread only).  The
-        emission *order* across independent fragments is racy, so the
-        event is marked unstable and the recorder orders it by its
-        simulated instant instead."""
+        """Emit one ship-attempt event carrying the producer's payload
+        descriptor."""
         payload = self._payload_cache.get(producer_index)
         if payload is None:
             payload = encode_payload(self.dag.fragments[producer_index].root)
@@ -1054,8 +949,7 @@ class _ChaosRun:
                 staleness_at_read=staleness,
                 wire_bytes=wire_bytes,
                 chunks=chunks,
-            ),
-            stable=False,
+            )
         )
 
     def _failover(
@@ -1147,8 +1041,7 @@ class _ChaosRun:
                     staleness_at_read=(
                         error.staleness if stale_demotion else None
                     ),
-                ),
-                stable=False,
+                )
             )
         resume = detected + self.policy.detection_seconds
         if index in self.results:

@@ -31,21 +31,19 @@ Layout and conversion rules
 * Rows materialize **only at SHIP and final-result edges**: the public
   :meth:`BatchOperatorExecutor.run` returns a
   :class:`~repro.execution.operators.RowBatch` (what the fragment
-  scheduler ships between sites and callers consume); everywhere below
-  that boundary data stays columnar.  SHIP byte accounting uses
-  :func:`column_bytes`, which measures the wire size straight from the
-  columns without building a single tuple.
+  scheduler ships between sites and callers consume), and a cut SHIP
+  leaf turns its delivered rows back into columns; everywhere between
+  those boundaries data stays columnar.
 """
 
 from __future__ import annotations
 
-import datetime
 import time
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..errors import ExecutionError
 from ..expr import AggregateFunction, compile_kernel, compile_predicate_kernel
-from ..geo import GeoDatabase, NetworkModel
+from ..geo import GeoDatabase
 from ..plan import (
     Filter,
     HashAggregate,
@@ -58,37 +56,12 @@ from ..plan import (
     TableScan,
     UnionAll,
 )
-from ..trace import current_recorder
 from .metrics import ExecutionMetrics
-from .operators import RowBatch
-from .wire import ShipConfig, encode_ship
+from .operators import RowBatch, shipped_input
+from .wire import encode_ship  # noqa: F401 - perfbench/spans.py wraps this name
 
 #: One column of values; scans yield tuples, computed columns are lists.
 Column = Sequence[Any]
-
-
-def column_bytes(data: Sequence[Column]) -> int:
-    """Measured wire size of a column batch — the exact per-value rules
-    of :func:`repro.execution.operators.actual_bytes`, summed column-wise
-    so a SHIP can be billed without materializing row tuples."""
-    total = 0
-    for column in data:
-        for value in column:
-            if value is None:
-                total += 1
-            elif isinstance(value, bool):
-                total += 1
-            elif isinstance(value, (int, float)):
-                total += 8
-            elif isinstance(value, str):
-                total += len(value)
-            elif isinstance(value, datetime.datetime):
-                total += 8
-            elif isinstance(value, datetime.date):
-                total += 4
-            else:
-                total += 8
-    return total
 
 
 class ColumnBatch:
@@ -129,22 +102,18 @@ class BatchOperatorExecutor:
     .OperatorExecutor`: same constructor, same metrics bookkeeping (one
     :class:`OperatorRecord` per operator with self wall-clock time), and
     :meth:`run` returns the same :class:`RowBatch` shape — so the
-    engine and the fragment scheduler drive either backend unchanged.
+    fragment scheduler drives either backend unchanged.
     """
 
     def __init__(
         self,
         database: GeoDatabase,
-        network: NetworkModel,
         metrics: ExecutionMetrics,
-        ship: ShipConfig | None = None,
+        inputs: Mapping[int, RowBatch] | None = None,
     ) -> None:
         self.database = database
-        self.network = network
         self.metrics = metrics
-        #: Wire format for SHIP edges (``None``/default = legacy
-        #: monolithic uncompressed transfers).
-        self.ship = ship or ShipConfig()
+        self.inputs = inputs or {}
         self._child_seconds: list[float] = []
 
     # -- public API (row boundary) ---------------------------------------------
@@ -239,46 +208,8 @@ class BatchOperatorExecutor:
         return child.gather(order)
 
     def _ship(self, node: Ship) -> ColumnBatch:
-        assert node.child is not None
-        batch = self.run_batch(node.child)
-        nbytes = column_bytes(batch.data)
-        wire_bytes: int | None = None
-        chunks: int | None = None
-        if self.ship.active:
-            # The SHIP boundary is where columns leave the site anyway —
-            # encode for the wire and rebuild the batch from the
-            # *decoded* rows, keeping the codec on the data path.
-            wire = encode_ship(
-                batch.columns, batch.to_rows(), logical_bytes=nbytes, config=self.ship
-            )
-            wire_bytes = wire.wire_bytes
-            chunks = len(wire.chunks)
-            batch = ColumnBatch.from_rows(batch.columns, wire.decode_rows())
-        self.metrics.record_ship(
-            self.network,
-            node.source,
-            node.target,
-            batch.nrows,
-            nbytes,
-            wire_bytes=wire_bytes,
-            chunks=1 if chunks is None else chunks,
-        )
-        recorder = current_recorder()
-        if recorder is not None:
-            recorder.record_local_ship(
-                node,
-                rows=batch.nrows,
-                nbytes=nbytes,
-                columns=batch.columns,
-                seconds=self.network.transfer_time(
-                    node.source,
-                    node.target,
-                    nbytes if wire_bytes is None else wire_bytes,
-                ),
-                wire_bytes=wire_bytes,
-                chunks=chunks,
-            )
-        return batch
+        batch = shipped_input(self.inputs, node)
+        return ColumnBatch.from_rows(batch.columns, batch.rows)
 
     # -- joins -----------------------------------------------------------------
 

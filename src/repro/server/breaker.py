@@ -190,7 +190,7 @@ class BreakerRegistry:
     :class:`~repro.geo.LinkGovernor` protocol.
 
     All calls happen on the server's single-threaded event loop (the
-    fragment scheduler performs transfers on its coordinator thread),
+    fragment scheduler performs transfers inline on the calling thread),
     so no locking is needed; see ``docs/ROBUSTNESS.md`` §7.
     """
 

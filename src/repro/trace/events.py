@@ -3,9 +3,9 @@
 Every event is a small dataclass with a class-level ``kind`` tag, a
 ``query`` id (0 = outside any query bracket — e.g. shared optimizer
 work or server-level admission decisions), and an ``at`` instant on the
-*simulated* clock (sequential executions have no clock and stamp 0.0).
-Wall-clock readings never appear in events: traces must be byte-stable
-across runs, and only the simulated timeline is deterministic.
+*simulated* clock.  Wall-clock readings never appear in events: traces
+must be byte-stable across runs, and only the simulated timeline is
+deterministic.
 
 ``to_dict``/:func:`event_from_dict` round-trip events through plain
 JSON-compatible dicts; :func:`event_from_dict` raises a typed
@@ -63,7 +63,6 @@ class QueryStart(TraceEvent):
 
     label: str | None = None
     executor: str | None = None
-    parallel: bool | None = None
 
 
 @dataclass
@@ -134,7 +133,8 @@ class ShipEvent(TraceEvent):
     outcome: str = "delivered"
     #: Simulated transfer seconds (delivered attempts only).
     seconds: float | None = None
-    #: Producer/consumer fragment indices (None on sequential runs).
+    #: Producer/consumer fragment indices (None in traces written before
+    #: every plan ran on the fragment scheduler).
     producer: int | None = None
     consumer: int | None = None
     columns: list[str] = dataclasses.field(default_factory=list)
@@ -264,6 +264,11 @@ EVENT_TYPES: dict[str, type[TraceEvent]] = {
 #: Fields every event must carry in serialized form.
 _BASE_REQUIRED = ("query", "at")
 
+#: Fields older traces carry that no longer exist; accepted and dropped
+#: so those traces still parse (``parallel`` selected the execution
+#: mode before every plan ran on the fragment scheduler).
+_RETIRED: dict[str, frozenset[str]] = {"query_start": frozenset({"parallel"})}
+
 #: Per-kind additional required fields (the rest default sensibly).
 _REQUIRED: dict[str, tuple[str, ...]] = {
     "query_start": (),
@@ -297,7 +302,8 @@ def event_from_dict(data: Any) -> TraceEvent:
             f"{kind} event is missing required field(s): {', '.join(missing)}"
         )
     names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names - {"kind"})
+    retired = _RETIRED.get(kind, frozenset())
+    unknown = sorted(set(data) - names - {"kind"} - retired)
     if unknown:
         raise TraceFormatError(
             f"{kind} event has unknown field(s): {', '.join(unknown)}"

@@ -7,25 +7,18 @@ read.  When no recorder is installed every site's hook is one
 ``None``-check; no event object is ever built, which is what keeps the
 disabled path effectively free (the overhead benchmark pins this down).
 
-Worker threads of the fragment scheduler do **not** inherit the context
-variable, and by design never need to: fragment bodies resolve cut SHIP
-leaves from already-computed results without emitting, so all emission
-happens on the single coordinator/caller thread and the recorder needs
-no locking.
+All emission happens on the single calling thread (the fragment
+scheduler runs fragment bodies inline), so the recorder needs no
+locking.
 
 Determinism
 -----------
-``wait(..., FIRST_COMPLETED)`` makes the *emission* order of events
-from independent fragments nondeterministic across runs.  Events are
-therefore ordered at serialization time by a deterministic key —
-``(query, at, kind-rank, emission-ordinal, canonical JSON)`` — where
-the emission ordinal participates only for events emitted from
-deterministic single-threaded code paths (sequential executors, the
-optimizer, the server loop); scheduler-side events opt out
-(``stable=False``) and fall back to their simulated instants with the
-canonical JSON line as the final tiebreak.  Together with the
-simulated-clock-only timestamps this makes a trace byte-identical
-across runs of the same query, seed, and executor.
+Events are ordered at serialization time by ``(query, at, kind-rank)``
+with ties kept in emission order (a stable sort).  Emission order is
+deterministic because every emitting path — optimizer, scheduler, server
+loop — is single-threaded and event-driven on the simulated clock.
+Together with the simulated-clock-only timestamps this makes a trace
+byte-identical across runs of the same query, seed, and executor.
 """
 
 from __future__ import annotations
@@ -37,25 +30,18 @@ from typing import TYPE_CHECKING, Iterator
 
 from ..errors import TraceFormatError
 from ..plan import PhysicalPlan, Ship
-from .codec import encode_payload
 from .events import (
     OptimizedEvent,
     PlacementEvent,
     QueryEnd,
     QueryStart,
     RequestEvent,
-    ShipEvent,
     TraceEvent,
     event_from_dict,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..optimizer.compliant import OptimizationResult
-
-#: Emission-ordinal stand-in for events whose emission order is not
-#: deterministic (scheduler coordinator): larger than any real ordinal,
-#: so ties fall through to the canonical-JSON key.
-_UNORDERED = 1 << 60
 
 _ACTIVE: ContextVar["TraceRecorder | None"] = ContextVar(
     "repro_trace_recorder", default=None
@@ -81,8 +67,8 @@ class TraceRecorder:
     """Collects typed events from one or more traced executions."""
 
     def __init__(self) -> None:
-        #: (event, emission ordinal or _UNORDERED)
-        self._entries: list[tuple[TraceEvent, int]] = []
+        #: Events in emission order.
+        self._events: list[TraceEvent] = []
         self._next_query = 1
         self._stack: list[int] = []
 
@@ -93,30 +79,23 @@ class TraceRecorder:
         """Query id of the open bracket (0 outside any bracket)."""
         return self._stack[-1] if self._stack else 0
 
-    def emit(self, event: TraceEvent, stable: bool = True) -> None:
-        """Record ``event``; fills in the current query id.  ``stable``
-        marks the emission order itself as deterministic (single-threaded
-        code path) and usable as an ordering key."""
+    def emit(self, event: TraceEvent) -> None:
+        """Record ``event``; fills in the current query id."""
         if not event.query:
             event.query = self.current_query
-        self._entries.append((event, len(self._entries) if stable else _UNORDERED))
+        self._events.append(event)
 
     def begin_query(
         self,
         label: str | None = None,
         at: float = 0.0,
         executor: str | None = None,
-        parallel: bool | None = None,
     ) -> int:
         """Open a query bracket; subsequent events belong to it."""
         query = self._next_query
         self._next_query += 1
         self._stack.append(query)
-        self.emit(
-            QueryStart(
-                query=query, at=at, label=label, executor=executor, parallel=parallel
-            )
-        )
+        self.emit(QueryStart(query=query, at=at, label=label, executor=executor))
         return query
 
     def end_query(
@@ -166,37 +145,6 @@ class TraceRecorder:
                 )
             )
 
-    def record_local_ship(
-        self,
-        node: Ship,
-        rows: int,
-        nbytes: int,
-        columns: list[str],
-        seconds: float,
-        wire_bytes: int | None = None,
-        chunks: int | None = None,
-    ) -> None:
-        """A sequential-executor SHIP: exactly one attempt, delivered,
-        no simulated clock (``at`` stays 0.0).  ``wire_bytes``/``chunks``
-        are set only when a wire config compressed or chunked the
-        transfer; ``nbytes`` is always the logical size."""
-        assert node.child is not None
-        self.emit(
-            ShipEvent(
-                source=node.source,
-                target=node.target,
-                rows=rows,
-                bytes=nbytes,
-                attempt=1,
-                outcome="delivered",
-                seconds=seconds,
-                columns=list(columns),
-                payload=encode_payload(node.child),
-                wire_bytes=wire_bytes,
-                chunks=chunks,
-            )
-        )
-
     def record_request(
         self, action: str, label: str, at: float, detail: str | None = None
     ) -> None:
@@ -206,31 +154,23 @@ class TraceRecorder:
 
     def events(self) -> list[TraceEvent]:
         """All recorded events in the canonical deterministic order."""
-        return [event for event, _ in self._sorted()]
-
-    def _sorted(self) -> list[tuple[TraceEvent, str]]:
-        keyed = [
-            (event, ordinal, _canonical_line(event))
-            for event, ordinal in self._entries
-        ]
-        keyed.sort(key=lambda e: (e[0].query, e[0].at, type(e[0]).rank, e[1], e[2]))
-        return [(event, line) for event, _, line in keyed]
+        return sorted(self._events, key=lambda e: (e.query, e.at, type(e).rank))
 
     def to_jsonl(self) -> str:
         """Serialize to JSON Lines, one event per line, in canonical
         order with canonical formatting (sorted keys, no whitespace) —
         the byte-stable on-disk form."""
-        return "".join(line + "\n" for _, line in self._sorted())
+        return "".join(_canonical_line(event) + "\n" for event in self.events())
 
     def write(self, path: str) -> int:
         """Write the JSONL trace to ``path``; returns the event count."""
         text = self.to_jsonl()
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-        return len(self._entries)
+        return len(self._events)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._events)
 
 
 def _canonical_line(event: TraceEvent) -> str:

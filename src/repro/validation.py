@@ -1,13 +1,13 @@
 """Shared parameter validators for tuning knobs.
 
-Every sizing/timeout knob in the system — worker counts, retry budgets,
-fragment timeouts, and the query server's ``--concurrency`` /
-``--queue-depth`` / ``--deadline`` flags — funnels through these three
-helpers, so an out-of-range value always fails with the same typed
+Every sizing/timeout knob in the system — retry budgets, fragment
+timeouts, and the query server's ``--concurrency`` / ``--queue-depth`` /
+``--deadline`` flags — funnels through these three helpers, so an
+out-of-range value always fails with the same typed
 :class:`~repro.errors.InvalidParameterError` and the same message shape
 ("<name> must be ..., got <value>") instead of an opaque crash deep
-inside :class:`~concurrent.futures.ThreadPoolExecutor`, a bare
-``argparse`` type error, or a silently-accepted nonsense value.
+inside the engine, a bare ``argparse`` type error, or a
+silently-accepted nonsense value.
 """
 
 from __future__ import annotations

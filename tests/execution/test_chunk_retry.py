@@ -69,7 +69,7 @@ def test_only_undelivered_chunks_resent(world, name, spec):
     catalog, database, network, optimizer = world
     plan = optimizer.optimize(QUERIES[name]).plan
 
-    clean_engine = ExecutionEngine(database, network, parallel=True, ship=STREAM)
+    clean_engine = ExecutionEngine(database, network, ship=STREAM)
     clean, clean_events = traced_run(clean_engine, plan)
     assert clean.partial_failure is None
 
@@ -77,7 +77,6 @@ def test_only_undelivered_chunks_resent(world, name, spec):
     faulted_engine = ExecutionEngine(
         database,
         network,
-        parallel=True,
         faults=faults,
         retry_policy=RetryPolicy(max_retries=8),
         ship=STREAM,
@@ -136,7 +135,6 @@ def test_faults_actually_retried_chunks(world):
             engine = ExecutionEngine(
                 database,
                 network,
-                parallel=True,
                 faults=faults,
                 retry_policy=RetryPolicy(max_retries=8),
                 ship=STREAM,
@@ -157,7 +155,7 @@ def test_chunk_seconds_cover_makespan(world):
     _catalog, database, network, optimizer = world
     for name in ("Q3", "Q5", "Q10"):
         plan = optimizer.optimize(QUERIES[name]).plan
-        engine = ExecutionEngine(database, network, parallel=True, ship=STREAM)
+        engine = ExecutionEngine(database, network, ship=STREAM)
         result = engine.execute(plan)
         assert result.metrics.makespan_seconds <= (
             result.metrics.shipping_seconds + 1e-9

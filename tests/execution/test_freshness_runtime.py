@@ -19,7 +19,7 @@ from repro.catalog import (
     TableSchema,
 )
 from repro.datatypes import DataType
-from repro.errors import ExecutionError, InvalidParameterError
+from repro.errors import InvalidParameterError
 from repro.expr import BaseColumn
 from repro.execution import (
     ExecutionEngine,
@@ -108,7 +108,7 @@ def run_with(
 
 def baseline_rows(database, network, plan):
     return rows_as_multiset(
-        ExecutionEngine(database, network, parallel=True).execute(plan).rows
+        ExecutionEngine(database, network).execute(plan).rows
     )
 
 
@@ -122,13 +122,6 @@ def test_policy_rejects_unknown_mode_and_negative_bound():
         FreshnessPolicy(tracker, mode="yolo")
     with pytest.raises(InvalidParameterError, match="must be >= 0"):
         FreshnessPolicy(tracker, max_staleness=-1.0)
-
-
-def test_engine_requires_parallel_for_freshness():
-    catalog, database, network = freshness_world()
-    policy = FreshnessPolicy(FreshnessTracker(catalog))
-    with pytest.raises(ExecutionError, match="parallel=True"):
-        ExecutionEngine(database, network, freshness=policy)
 
 
 # -- read-stale: bounded staleness, minimum disruption ------------------------

@@ -1,16 +1,15 @@
-"""Fragment scheduler: parallel execution equivalence and the simulated
-makespan (critical-path response time) invariants."""
-
-import time
+"""Fragment scheduler: execution equivalence and the simulated makespan
+(critical-path response time) invariants."""
 
 import pytest
 
 from repro.catalog import Catalog, Column, TableSchema
 from repro.datatypes import DataType
-from repro.errors import ComplianceViolationError, ExecutionError
+from repro.errors import ComplianceViolationError
 from repro.execution import (
     ExecutionEngine,
     FragmentScheduler,
+    actual_bytes,
     reference_plan,
 )
 from repro.geo import GeoDatabase, NetworkModel
@@ -97,37 +96,38 @@ def chain_plan(catalog):
 
 class TestEquivalence:
     def test_bushy_join_rows_match_sequential(self, world):
+        """The fragment-by-fragment run returns the rows of the same plan
+        evaluated centrally in one pass."""
         catalog, db, network = world
         plan = bushy_join(catalog)
-        sequential = ExecutionEngine(db, network).execute(plan)
-        parallel = ExecutionEngine(db, network, parallel=True).execute(plan)
-        assert rows_as_multiset(parallel.rows) == rows_as_multiset(sequential.rows)
-        assert parallel.columns == sequential.columns
+        central = ExecutionEngine(db, network).execute(
+            reference_plan(Binder(catalog).bind_sql("SELECT * FROM emp, dept"))
+        )
+        result = ExecutionEngine(db, network).execute(plan)
+        assert rows_as_multiset(result.rows) == rows_as_multiset(central.rows)
+        assert result.columns == central.columns
 
     def test_metrics_totals_match_sequential(self, world):
+        """Totals equal what a one-pass walk of the plan accounts: every
+        operator once, every SHIP billed ``α + β·bytes`` of its input."""
         catalog, db, network = world
         plan = bushy_join(catalog)
-        sequential = ExecutionEngine(db, network).execute(plan)
-        parallel = ExecutionEngine(db, network, parallel=True).execute(plan)
-        s, p = sequential.metrics, parallel.metrics
-        assert p.rows_scanned == s.rows_scanned
-        assert p.rows_output == s.rows_output
-        assert p.operators_executed == s.operators_executed
-        assert p.total_rows_shipped == s.total_rows_shipped
-        assert p.total_bytes_shipped == s.total_bytes_shipped
-        assert p.shipping_seconds == pytest.approx(s.shipping_seconds)
-        assert len(p.ships) == len(s.ships)
-
-    def test_per_call_parallel_override(self, world):
-        catalog, db, network = world
-        engine = ExecutionEngine(db, network)  # sequential default
-        result = engine.execute(bushy_join(catalog), parallel=True)
-        assert result.metrics.fragments  # the scheduler ran
-        assert result.makespan_seconds > 0
+        metrics = ExecutionEngine(db, network).execute(plan).metrics
+        emp, dept = db.rows("db1", "emp"), db.rows("db2", "dept")
+        assert metrics.rows_scanned == len(emp) + len(dept)
+        assert metrics.rows_output == len(emp) * len(dept)
+        assert metrics.operators_executed == len(list(plan.walk()))
+        assert metrics.total_rows_shipped == len(emp) + len(dept)
+        assert metrics.total_bytes_shipped == actual_bytes(emp) + actual_bytes(dept)
+        assert metrics.shipping_seconds == pytest.approx(
+            network.transfer_time("L1", "L3", actual_bytes(emp))
+            + network.transfer_time("L2", "L3", actual_bytes(dept))
+        )
+        assert len(metrics.ships) == 2
 
     def test_single_fragment_plan_works_in_parallel_mode(self, world):
         catalog, db, network = world
-        result = ExecutionEngine(db, network, parallel=True).execute(
+        result = ExecutionEngine(db, network).execute(
             scan(catalog, "emp", "L1")
         )
         assert result.row_count == 20
@@ -139,7 +139,7 @@ class TestEquivalence:
 class TestMakespan:
     def test_bushy_makespan_is_critical_path(self, world):
         catalog, db, network = world
-        result = ExecutionEngine(db, network, parallel=True).execute(
+        result = ExecutionEngine(db, network).execute(
             bushy_join(catalog)
         )
         metrics = result.metrics
@@ -147,14 +147,14 @@ class TestMakespan:
             (s.seconds for s in metrics.ships), reverse=True
         )
         # Transfers overlap: the response time is the slower edge alone,
-        # strictly below the sum the sequential cost metric reports.
+        # strictly below the shipping-seconds sum.
         assert metrics.makespan_seconds == pytest.approx(slow)
         assert metrics.makespan_seconds < metrics.shipping_seconds
         assert metrics.shipping_seconds == pytest.approx(slow + fast)
 
     def test_chain_makespan_equals_shipping_sum(self, world):
         catalog, db, network = world
-        result = ExecutionEngine(db, network, parallel=True).execute(
+        result = ExecutionEngine(db, network).execute(
             chain_plan(catalog)
         )
         metrics = result.metrics
@@ -165,7 +165,7 @@ class TestMakespan:
         catalog, db, network = world
         for plan in (bushy_join(catalog), chain_plan(catalog)):
             metrics = (
-                ExecutionEngine(db, network, parallel=True).execute(plan).metrics
+                ExecutionEngine(db, network).execute(plan).metrics
             )
             assert (
                 metrics.makespan_seconds
@@ -175,7 +175,7 @@ class TestMakespan:
     def test_site_clocks_cover_every_location(self, world):
         catalog, db, network = world
         metrics = (
-            ExecutionEngine(db, network, parallel=True)
+            ExecutionEngine(db, network)
             .execute(bushy_join(catalog))
             .metrics
         )
@@ -187,7 +187,7 @@ class TestObservability:
     def test_fragment_records(self, world):
         catalog, db, network = world
         metrics = (
-            ExecutionEngine(db, network, parallel=True)
+            ExecutionEngine(db, network)
             .execute(bushy_join(catalog))
             .metrics
         )
@@ -206,20 +206,15 @@ class TestObservability:
 
     def test_operator_records_cover_all_operators(self, world):
         catalog, db, network = world
-        for parallel in (False, True):
-            metrics = (
-                ExecutionEngine(db, network, parallel=parallel)
-                .execute(bushy_join(catalog))
-                .metrics
-            )
-            assert len(metrics.operators) == metrics.operators_executed
-            assert all(op.seconds >= 0.0 for op in metrics.operators)
-            scans = [op for op in metrics.operators if "TableScan" in op.operator]
-            assert len(scans) == 2
+        metrics = ExecutionEngine(db, network).execute(bushy_join(catalog)).metrics
+        assert len(metrics.operators) == metrics.operators_executed
+        assert all(op.seconds >= 0.0 for op in metrics.operators)
+        scans = [op for op in metrics.operators if "TableScan" in op.operator]
+        assert len(scans) == 2
 
     def test_scheduler_direct_api(self, world):
         catalog, db, network = world
-        scheduler = FragmentScheduler(db, network, max_workers=2)
+        scheduler = FragmentScheduler(db, network)
         (columns, rows), metrics = scheduler.run(bushy_join(catalog))
         assert len(rows) == 60
         assert metrics.makespan_seconds > 0
@@ -233,7 +228,6 @@ class TestGuard:
             db,
             network,
             policy_guard=PolicyEvaluator(policies),
-            parallel=True,
         )
         with pytest.raises(ComplianceViolationError):
             engine.execute(bushy_join(catalog))
@@ -241,29 +235,10 @@ class TestGuard:
         assert engine.execute(scan(catalog, "emp", "L1")).row_count == 20
 
 
-class TestWorkerValidation:
-    @pytest.mark.parametrize("bad", [0, -1, -8])
-    def test_scheduler_rejects_nonpositive_worker_counts(self, world, bad):
-        _catalog, db, network = world
-        with pytest.raises(ExecutionError, match="positive integer"):
-            FragmentScheduler(db, network, max_workers=bad)
-
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_engine_rejects_nonpositive_worker_counts(self, world, bad):
-        _catalog, db, network = world
-        with pytest.raises(ExecutionError, match="positive integer"):
-            ExecutionEngine(db, network, parallel=True, max_workers=bad)
-
-    def test_default_and_explicit_counts_resolve(self, world):
-        _catalog, db, network = world
-        assert FragmentScheduler(db, network).max_workers >= 1
-        assert FragmentScheduler(db, network, max_workers=3).max_workers == 3
-
-
 class TestErrorPropagation:
     """A genuine operator failure (not an injected fault) must surface
-    unchanged, cancel pending sibling fragments, and leave the scheduler
-    reusable — never deadlock the waiting_on accounting."""
+    unchanged, stop the remaining fragments, and leave the scheduler
+    reusable."""
 
     def _union_of_scans(self, catalog, n):
         parts = tuple(
@@ -281,20 +256,17 @@ class TestErrorPropagation:
             calls.append(table)
             if len(calls) == 1:
                 raise RuntimeError("boom")  # a genuine bug, not a FaultError
-            time.sleep(0.05)  # keep siblings queued while the abort runs
             return original_rows(database, table)
 
         db.rows = instrumented_rows
         try:
-            scheduler = FragmentScheduler(db, network, max_workers=1)
+            scheduler = FragmentScheduler(db, network)
             with pytest.raises(RuntimeError, match="boom"):
                 scheduler.run(plan)
         finally:
             db.rows = original_rows
-        # The failing fragment ran; the queued siblings were cancelled
-        # (at most one may have been grabbed by the worker in the race
-        # between its completion callback and the coordinator's abort).
-        assert 1 <= len(calls) <= 2
+        # The failing fragment ran; none of its siblings did.
+        assert len(calls) == 1
 
     def test_scheduler_usable_after_failure(self, world):
         catalog, db, network = world
@@ -303,7 +275,7 @@ class TestErrorPropagation:
             RuntimeError("boom")
         )
         try:
-            scheduler = FragmentScheduler(db, network, max_workers=2)
+            scheduler = FragmentScheduler(db, network)
             with pytest.raises(RuntimeError, match="boom"):
                 scheduler.run(bushy_join(catalog))
         finally:
@@ -326,7 +298,7 @@ class TestErrorPropagation:
         db.rows = failing_rows
         try:
             with pytest.raises(RuntimeError, match="boom"):
-                FragmentScheduler(db, network, max_workers=2).run(plan)
+                FragmentScheduler(db, network).run(plan)
         finally:
             db.rows = original_rows
         # Only source fragments were ever attempted; the join fragment

@@ -2,11 +2,9 @@
 
 Cross-backend equivalence at scale lives in the integration suite; this
 file covers the batch-specific seams: the ColumnBatch layout and its
-row-conversion boundary, columnar byte accounting, the cached RowBatch
-wire size, and executor-name validation through the engine/scheduler.
+row-conversion boundary, the cached RowBatch wire size, and
+executor-name validation through the engine/scheduler.
 """
-
-import datetime
 
 import pytest
 
@@ -21,8 +19,6 @@ from repro.execution import (
     FragmentScheduler,
     OperatorExecutor,
     RowBatch,
-    actual_bytes,
-    column_bytes,
     reference_plan,
     validate_executor_name,
 )
@@ -72,10 +68,9 @@ def world():
 
 def run_both(world, sql):
     catalog, db = world
-    network = synthetic_network(["L1", "L2"])
     plan = reference_plan(Binder(catalog).bind_sql(sql))
-    row = OperatorExecutor(db, network, ExecutionMetrics()).run(plan)
-    batch = BatchOperatorExecutor(db, network, ExecutionMetrics()).run(plan)
+    row = OperatorExecutor(db, ExecutionMetrics()).run(plan)
+    batch = BatchOperatorExecutor(db, ExecutionMetrics()).run(plan)
     return row, batch
 
 
@@ -106,23 +101,6 @@ def test_gather_applies_selection_vector():
 
 
 # -- byte accounting ----------------------------------------------------------
-
-
-def test_column_bytes_matches_row_actual_bytes():
-    rows = [
-        (1, True, None, "abc", 2.5),
-        (7, False, None, "", -1.0),
-        (
-            0,
-            None,
-            datetime.date(2020, 1, 2),
-            "xy",
-            None,
-        ),
-        (3, True, datetime.datetime(2020, 1, 2, 3, 4), "z", 9.9),
-    ]
-    columns = list(zip(*rows))
-    assert column_bytes(columns) == actual_bytes(rows)
 
 
 def test_row_batch_caches_nbytes():
@@ -197,13 +175,12 @@ def test_sort_null_placement_and_limit(world):
 
 def test_metrics_match_row_backend(world):
     catalog, db = world
-    network = synthetic_network(["L1", "L2"])
     plan = reference_plan(
         Binder(catalog).bind_sql("SELECT dept, COUNT(*) AS n FROM emp GROUP BY dept")
     )
     row_metrics, batch_metrics = ExecutionMetrics(), ExecutionMetrics()
-    OperatorExecutor(db, network, row_metrics).run(plan)
-    BatchOperatorExecutor(db, network, batch_metrics).run(plan)
+    OperatorExecutor(db, row_metrics).run(plan)
+    BatchOperatorExecutor(db, batch_metrics).run(plan)
     assert batch_metrics.operators_executed == row_metrics.operators_executed
     assert batch_metrics.rows_scanned == row_metrics.rows_scanned
     assert [r.rows_out for r in batch_metrics.operators] == [

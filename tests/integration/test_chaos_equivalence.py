@@ -20,7 +20,6 @@ Three properties, mirroring docs/ROBUSTNESS.md:
 
 import pytest
 
-from repro.errors import ExecutionError
 from repro.execution import (
     ExecutionEngine,
     FaultPlan,
@@ -51,7 +50,7 @@ def world(tpch_small, tpch_network):
     for name, sql in sorted(QUERIES.items()):
         core, _sort = _strip_sort(Binder(catalog).bind_sql(sql))
         plan = compliant.optimize(core).plan
-        result = ExecutionEngine(database, tpch_network, parallel=True).execute(plan)
+        result = ExecutionEngine(database, tpch_network).execute(plan)
         baselines[name] = (plan, result)
     return catalog, database, tpch_network, compliant, baselines
 
@@ -61,7 +60,6 @@ def faulted_engine(world, faults, policy=RETRIES):
     return ExecutionEngine(
         database,
         network,
-        parallel=True,
         faults=faults,
         retry_policy=policy,
         policy_guard=compliant.evaluator,
@@ -231,12 +229,3 @@ def test_fragment_timeout_degrades_typed(world):
     assert failure.error_type == "FragmentTimeoutError"
     assert "fragment timeout" in failure.message
     assert result.rows == []
-
-
-def test_faults_require_the_parallel_engine(world):
-    """The sequential reference engine has no WAN simulation to inject
-    into: configuring faults on it is a loud error, not a silent no-op."""
-    _catalog, database, network, _compliant, _baselines = world
-    faults = FaultPlan([SiteCrash("Asia", at=0.0)])
-    with pytest.raises(ExecutionError, match="parallel"):
-        ExecutionEngine(database, network, parallel=False, faults=faults)

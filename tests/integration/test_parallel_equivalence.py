@@ -1,7 +1,7 @@
-"""Executor equivalence: the fragment-parallel engine must be
-indistinguishable (row-wise) from the sequential engine and from the
-centralized reference execution, and its simulated makespan must obey
-the critical-path invariants.
+"""Executor equivalence: every optimized plan must return the rows of the
+centralized reference execution on both operator backends and both
+wire formats, and its simulated makespan must obey the critical-path
+invariants.
 
 Three workloads:
 
@@ -45,21 +45,9 @@ def world(tpch_small, tpch_network):
         catalog, curated_policies(catalog, "CR+A"), tpch_network
     )
     traditional = TraditionalOptimizer(catalog, tpch_network)
-    sequential = ExecutionEngine(database, tpch_network)
-    parallel = ExecutionEngine(database, tpch_network, parallel=True)
-    batch_sequential = ExecutionEngine(database, tpch_network, executor="batch")
-    batch_parallel = ExecutionEngine(
-        database, tpch_network, parallel=True, executor="batch"
-    )
-    return (
-        catalog,
-        compliant,
-        traditional,
-        sequential,
-        parallel,
-        batch_sequential,
-        batch_parallel,
-    )
+    row = ExecutionEngine(database, tpch_network)
+    batch = ExecutionEngine(database, tpch_network, executor="batch")
+    return catalog, compliant, traditional, row, batch
 
 
 def assert_makespan_invariants(plan, metrics):
@@ -93,103 +81,79 @@ def traced_execute(engine, plan):
 STREAM = ShipConfig(chunk_rows=64, compression="auto")
 
 
-def streaming_engines(database, network, full=False):
-    """Streaming+compressed engines mirroring the monolithic baseline:
-    the (row, parallel) and (batch, sequential) corners by default, the
-    full row/batch x sequential/parallel matrix with ``full=True``."""
-    combos = [("row", True), ("batch", False)]
-    if full:
-        combos += [("row", False), ("batch", True)]
+def streaming_engines(database, network):
+    """Streaming+compressed engines mirroring the monolithic baseline,
+    one per operator backend."""
     return [
-        ExecutionEngine(
-            database, network, parallel=par, executor=backend, ship=STREAM
-        )
-        for backend, par in combos
+        ExecutionEngine(database, network, executor=backend, ship=STREAM)
+        for backend in ("row", "batch")
     ]
 
 
-def check_equivalence(
-    catalog, optimizer, sequential, parallel, sql, batch_engines=(),
-    streaming="pair",
-):
+def check_equivalence(catalog, optimizer, row_engine, sql, batch_engines=()):
     core, _sort = _strip_sort(Binder(catalog).bind_sql(sql))
     expected = rows_as_multiset(
-        sequential.execute(reference_plan(normalize(core))).rows
+        row_engine.execute(reference_plan(normalize(core))).rows
     )
     plan = optimizer.optimize(core).plan
-    seq_run, seq_ships = traced_execute(sequential, plan)
-    par_run, par_ships = traced_execute(parallel, plan)
-    assert rows_as_multiset(seq_run.rows) == expected
-    assert rows_as_multiset(par_run.rows) == expected
-    assert par_run.columns == seq_run.columns
-    assert par_run.metrics.total_bytes_shipped == seq_run.metrics.total_bytes_shipped
-    assert par_run.metrics.operators_executed == seq_run.metrics.operators_executed
-    # Trace-derived transfer accounting: the sequential walker and the
-    # fragment scheduler must record the same cross-border SHIP set.
-    assert par_ships == seq_ships
+    row_run, row_ships = traced_execute(row_engine, plan)
+    assert rows_as_multiset(row_run.rows) == expected
     for batch_engine in batch_engines:
         # The batch executor preserves the row backend's exact iteration
         # orders, so its output must be *row-identical* (ordered), not
         # just multiset-equal — and its SHIP byte accounting, computed
         # from columns, must bill the same bytes.
         batch_run, batch_ships = traced_execute(batch_engine, plan)
-        assert batch_run.columns == seq_run.columns
-        assert batch_run.rows == seq_run.rows
+        assert batch_run.columns == row_run.columns
+        assert batch_run.rows == row_run.rows
         assert (
             batch_run.metrics.total_bytes_shipped
-            == seq_run.metrics.total_bytes_shipped
+            == row_run.metrics.total_bytes_shipped
         )
         assert (
             batch_run.metrics.operators_executed
-            == seq_run.metrics.operators_executed
+            == row_run.metrics.operators_executed
         )
         # Per-query trace agreement between the row and batch backends:
         # identical transfer counts and identical total SHIP bytes.
-        assert batch_ships == seq_ships
-    for stream_engine in streaming_engines(
-        sequential.database, sequential.network, full=streaming == "full"
-    ):
+        assert batch_ships == row_ships
+    for stream_engine in streaming_engines(row_engine.database, row_engine.network):
         # Chunked, compressed transfers sit on the data path (rows flow
         # through the codec), so streaming must stay *byte-identical* on
         # rows and bill the same logical SHIP bytes as monolithic — in
         # the metrics and in the trace-derived per-query accounting —
         # while putting no more bytes on the wire than it ships.
         stream_run, stream_ships = traced_execute(stream_engine, plan)
-        assert stream_run.columns == seq_run.columns
-        assert stream_run.rows == seq_run.rows
+        assert stream_run.columns == row_run.columns
+        assert stream_run.rows == row_run.rows
         assert (
             stream_run.metrics.total_bytes_shipped
-            == seq_run.metrics.total_bytes_shipped
+            == row_run.metrics.total_bytes_shipped
         )
-        assert stream_ships == seq_ships
+        assert stream_ships == row_ships
         assert (
             stream_run.metrics.total_wire_bytes_shipped
             <= stream_run.metrics.total_bytes_shipped
         )
-        if stream_engine.parallel:
-            assert (
-                stream_run.metrics.makespan_seconds
-                <= stream_run.metrics.shipping_seconds + 1e-9
-            )
-    pairs = assert_makespan_invariants(plan, par_run.metrics)
-    return par_run, pairs
+        assert (
+            stream_run.metrics.makespan_seconds
+            <= stream_run.metrics.shipping_seconds + 1e-9
+        )
+    pairs = assert_makespan_invariants(plan, row_run.metrics)
+    return row_run, pairs
 
 
 @pytest.mark.parametrize("name", list(QUERIES))
 def test_tpch_compliant_plans(world, name):
-    catalog, compliant, _traditional, sequential, parallel, batch_seq, batch_par = world
-    check_equivalence(
-        catalog, compliant, sequential, parallel, QUERIES[name],
-        batch_engines=(batch_seq, batch_par), streaming="full",
-    )
+    catalog, compliant, _traditional, row, batch = world
+    check_equivalence(catalog, compliant, row, QUERIES[name], batch_engines=(batch,))
 
 
 @pytest.mark.parametrize("name", list(QUERIES))
 def test_tpch_traditional_plans(world, name):
-    catalog, _compliant, traditional, sequential, parallel, batch_seq, batch_par = world
+    catalog, _compliant, traditional, row, batch = world
     check_equivalence(
-        catalog, traditional, sequential, parallel, QUERIES[name],
-        batch_engines=(batch_seq, batch_par), streaming="full",
+        catalog, traditional, row, QUERIES[name], batch_engines=(batch,)
     )
 
 
@@ -202,11 +166,10 @@ _ADHOC_PAIRS: dict[int, int] = {}
     "index", range(len(ADHOC_QUERIES)), ids=lambda i: f"adhoc{i:02d}"
 )
 def test_randomized_adhoc_queries(world, index):
-    catalog, _compliant, traditional, sequential, parallel, batch_seq, batch_par = world
+    catalog, _compliant, traditional, row, batch = world
     query = ADHOC_QUERIES[index]
     _run, pairs = check_equivalence(
-        catalog, traditional, sequential, parallel, query.sql,
-        batch_engines=(batch_seq, batch_par),
+        catalog, traditional, row, query.sql, batch_engines=(batch,)
     )
     _ADHOC_PAIRS[index] = pairs
 
@@ -232,12 +195,8 @@ def test_fragmented_union_plans(tpch_network):
     )
     policies = fragmented_policies(catalog)
     compliant = CompliantOptimizer(catalog, policies, tpch_network)
-    sequential = ExecutionEngine(database, tpch_network)
-    parallel = ExecutionEngine(database, tpch_network, parallel=True)
-    batch_engines = (
-        ExecutionEngine(database, tpch_network, executor="batch"),
-        ExecutionEngine(database, tpch_network, parallel=True, executor="batch"),
-    )
+    row = ExecutionEngine(database, tpch_network)
+    batch_engines = (ExecutionEngine(database, tpch_network, executor="batch"),)
     sql = """
         SELECT c.c_mktsegment, COUNT(*) AS n, SUM(o.o_totalprice) AS total
         FROM customer c, orders o
@@ -245,7 +204,7 @@ def test_fragmented_union_plans(tpch_network):
         GROUP BY c.c_mktsegment
     """
     run, _pairs = check_equivalence(
-        catalog, compliant, sequential, parallel, sql, batch_engines=batch_engines
+        catalog, compliant, row, sql, batch_engines=batch_engines
     )
     assert len(run.metrics.fragments) >= 3
 
@@ -257,14 +216,14 @@ def test_batch_executor_under_transient_chaos(world):
     TPC-H query, with at least one combo actually retrying."""
     from repro.execution import FaultPlan, RetryPolicy
 
-    catalog, compliant, _trad, sequential, _par, _bseq, _bpar = world
-    database = sequential.database
-    network = sequential.network
+    catalog, compliant, _trad, row, _batch = world
+    database = row.database
+    network = row.network
     retried = 0
     for name, sql in sorted(QUERIES.items()):
         core, _sort = _strip_sort(Binder(catalog).bind_sql(sql))
         plan = compliant.optimize(core).plan
-        baseline = sequential.execute(plan)
+        baseline = row.execute(plan)
         pairs = [
             (s.source, s.target)
             for s in baseline.metrics.ships
@@ -275,7 +234,6 @@ def test_batch_executor_under_transient_chaos(world):
             chaotic = ExecutionEngine(
                 database,
                 network,
-                parallel=True,
                 executor="batch",
                 faults=faults,
                 retry_policy=RetryPolicy(max_retries=6),
@@ -295,18 +253,18 @@ def test_batch_executor_under_transient_chaos(world):
 def test_streaming_executor_under_transient_chaos(world):
     """Chunk-granular retry under seeded transient faults: the
     streaming+compressed scheduler must stay row-identical to the
-    fault-free sequential baseline on every curated TPC-H query and
+    fault-free monolithic baseline on every curated TPC-H query and
     keep billing logical bytes, with at least one combo retrying."""
     from repro.execution import FaultPlan, RetryPolicy
 
-    catalog, compliant, _trad, sequential, _par, _bseq, _bpar = world
-    database = sequential.database
-    network = sequential.network
+    catalog, compliant, _trad, row, _batch = world
+    database = row.database
+    network = row.network
     retried = 0
     for name, sql in sorted(QUERIES.items()):
         core, _sort = _strip_sort(Binder(catalog).bind_sql(sql))
         plan = compliant.optimize(core).plan
-        baseline = sequential.execute(plan)
+        baseline = row.execute(plan)
         pairs = [
             (s.source, s.target)
             for s in baseline.metrics.ships
@@ -317,7 +275,6 @@ def test_streaming_executor_under_transient_chaos(world):
             chaotic = ExecutionEngine(
                 database,
                 network,
-                parallel=True,
                 faults=faults,
                 retry_policy=RetryPolicy(max_retries=6),
                 policy_guard=compliant.evaluator,

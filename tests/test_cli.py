@@ -118,7 +118,7 @@ def test_serve_invalid_knob_exit_code(tmp_path, capsys):
 def test_run_writes_trace_and_audit_accepts_it(tmp_path, capsys):
     trace = tmp_path / "q3.jsonl"
     assert main(
-        ["run", "Q3", "--scale", "0.001", "--parallel", "--trace", str(trace)]
+        ["run", "Q3", "--scale", "0.001", "--trace", str(trace)]
     ) == 0
     captured = capsys.readouterr()
     assert f"-> {trace}" in captured.err
@@ -132,7 +132,7 @@ def test_audit_flags_mutated_trace_with_exit_4(tmp_path, capsys):
 
     trace = tmp_path / "q3.jsonl"
     assert main(
-        ["run", "Q3", "--scale", "0.001", "--parallel", "--trace", str(trace)]
+        ["run", "Q3", "--scale", "0.001", "--trace", str(trace)]
     ) == 0
     capsys.readouterr()
     mutated = []
@@ -160,7 +160,7 @@ def test_audit_malformed_trace_exit_code(tmp_path, capsys):
 def test_audit_with_policy_file(tmp_path, capsys):
     trace = tmp_path / "q3.jsonl"
     assert main(
-        ["run", "Q3", "--scale", "0.001", "--parallel", "--trace", str(trace)]
+        ["run", "Q3", "--scale", "0.001", "--trace", str(trace)]
     ) == 0
     capsys.readouterr()
     # A policy file granting nothing: every cross-border ship violates.
@@ -207,7 +207,7 @@ def test_run_with_replicas_and_audit_roundtrip(tmp_path, capsys):
     trace = tmp_path / "replicas.jsonl"
     assert main(
         [
-            "run", "Q3", "--scale", "0.001", "--set", "T", "--parallel",
+            "run", "Q3", "--scale", "0.001", "--set", "T",
             "--replicas", REPLICA_SPEC, "--result-location", "Europe",
             "--faults", "flaky:NorthAmerica->Europe@0+0.05",
             "--retries", "6", "--trace", str(trace),
@@ -230,7 +230,7 @@ def test_run_replica_failover_summary_line(capsys):
     spec = REPLICA_SPEC + ";db4.lineitem@Europe"
     assert main(
         [
-            "run", "Q3", "--scale", "0.001", "--set", "T", "--parallel",
+            "run", "Q3", "--scale", "0.001", "--set", "T",
             "--replicas", spec, "--faults", "crash:Europe@0", "--retries", "6",
         ]
     ) == 0

@@ -1,14 +1,13 @@
 """Shared parameter-validator tests (satellite of the serving PR):
-every tuning knob across the CLI, engine, scheduler, retry policy, and
-server fails with the same typed error and message shape."""
+every tuning knob across the CLI, retry policy, and server fails with
+the same typed error and message shape."""
 
 import math
 
 import pytest
 
-from repro.errors import ExecutionError, InvalidParameterError
+from repro.errors import InvalidParameterError
 from repro.execution import RetryPolicy
-from repro.execution.scheduler import validate_worker_count
 from repro.validation import (
     validate_non_negative_int,
     validate_positive_int,
@@ -52,14 +51,6 @@ class TestValidateTimeout:
 
 class TestAppliedAcrossLayers:
     """The same typed error surfaces from every entry point."""
-
-    def test_worker_count_uses_shared_validator(self):
-        with pytest.raises(InvalidParameterError, match="worker count"):
-            validate_worker_count(0)
-        # And InvalidParameterError stays catchable as ExecutionError,
-        # preserving the pre-existing contract.
-        with pytest.raises(ExecutionError, match="positive integer"):
-            validate_worker_count(-2)
 
     def test_retry_policy_uses_shared_validators(self):
         with pytest.raises(InvalidParameterError, match="max_retries"):

@@ -16,7 +16,7 @@ from collections import Counter
 
 import pytest
 
-from repro.execution import ExecutionEngine, ShipConfig
+from repro.execution import ExecutionEngine, RetryPolicy, ShipConfig, parse_fault_spec
 from repro.optimizer import CompliantOptimizer
 from repro.tpch import QUERIES, curated_policies
 from repro.trace import ComplianceAuditor, TraceRecorder, parse_trace, tracing
@@ -37,7 +37,6 @@ def traced_stream_run(world, name, chunk_rows, compression="auto"):
     engine = ExecutionEngine(
         database,
         network,
-        parallel=True,
         ship=ShipConfig(chunk_rows=chunk_rows, compression=compression),
     )
     recorder = TraceRecorder()
@@ -141,3 +140,65 @@ def test_orphan_chunk_is_unauditable(world):
     assert orphaned == 1
     report = auditor.audit_events(parse_trace("\n".join(mutated)))
     assert any(v.category == "unauditable" for v in report.violations)
+
+
+def traced_failed_stream_run(world):
+    """Q5 streamed while its Europe -> NorthAmerica link fails every
+    attempt: the transfer runs out of retries and the query degrades."""
+    catalog, database, network, optimizer, _auditor = world
+    plan = optimizer.optimize(QUERIES["Q5"]).plan
+    engine = ExecutionEngine(
+        database,
+        network,
+        policy_guard=optimizer.evaluator,
+        faults=parse_fault_spec(
+            "flaky:Europe->NorthAmerica@0+100", locations=catalog.locations
+        ),
+        retry_policy=RetryPolicy(max_retries=1),
+        ship=ShipConfig(chunk_rows=16, compression="auto"),
+    )
+    recorder = TraceRecorder()
+    with tracing(recorder):
+        result = engine.execute(plan)
+    assert result.partial_failure is not None
+    failed = [
+        e
+        for e in recorder.events()
+        if e.kind == "chunk" and e.outcome == "retry_exhausted"
+    ]
+    assert failed, "the streamed transfer must fail"
+    return recorder
+
+
+def test_failed_streamed_transfer_is_auditable(world):
+    """A streamed transfer that runs out of retries still rolls up into
+    one payload-carrying ship event, so its chunk events audit clean
+    instead of failing closed as unauditable."""
+    auditor = world[4]
+    recorder = traced_failed_stream_run(world)
+    rollups = [
+        e
+        for e in recorder.events()
+        if e.kind == "ship" and e.outcome == "retry_exhausted"
+    ]
+    assert len(rollups) == 1 and rollups[0].payload is not None
+    report = auditor.audit_events(parse_trace(recorder.to_jsonl()))
+    assert not [v for v in report.violations if v.category == "unauditable"]
+    assert report.ok, report.violations
+
+
+def test_tampered_failed_streamed_transfer_is_flagged(world):
+    """Rewriting the failed chunk's destination to a non-permitted site
+    is judged against the failed transfer's payload: a
+    forbidden-destination violation, not an unauditable one."""
+    auditor = world[4]
+    recorder = traced_failed_stream_run(world)
+    mutated = []
+    for line in recorder.to_jsonl().splitlines():
+        entry = json.loads(line)
+        if entry.get("kind") == "chunk" and entry["outcome"] == "retry_exhausted":
+            entry["target"] = "Atlantis"  # never in any permitted set
+        mutated.append(json.dumps(entry, sort_keys=True))
+    report = auditor.audit_events(parse_trace("\n".join(mutated)))
+    categories = {v.category for v in report.violations}
+    assert categories == {"forbidden-destination"}

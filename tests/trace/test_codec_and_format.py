@@ -129,6 +129,19 @@ def test_invalid_events_raise_typed_errors(data, match):
         event_from_dict(data)
 
 
+def test_query_start_with_retired_parallel_field_still_parses():
+    """Traces written while the engine had a sequential mode carry a
+    ``parallel`` flag on ``query_start``; they must still parse (and so
+    still audit).  New traces no longer write the field."""
+    line = (
+        '{"at":0.0,"executor":"row","kind":"query_start","label":null,'
+        '"parallel":false,"query":1}'
+    )
+    [event] = parse_trace(line)
+    assert event == QueryStart(query=1, executor="row")
+    assert "parallel" not in event.to_dict()
+
+
 # -- recorder ------------------------------------------------------------------
 
 
@@ -145,9 +158,9 @@ def test_recorder_is_inert_when_not_installed():
 
 def test_query_brackets_assign_scoped_ids():
     recorder = TraceRecorder()
-    first = recorder.begin_query(label="a", executor="row", parallel=False)
+    first = recorder.begin_query(label="a", executor="row")
     recorder.end_query(first, at=1.0, status="ok", rows=1)
-    second = recorder.begin_query(label="b", executor="row", parallel=False)
+    second = recorder.begin_query(label="b", executor="row")
     recorder.end_query(second, at=1.0, status="ok", rows=1)
     assert (first, second) == (1, 2)
     starts = [e for e in recorder.events() if isinstance(e, QueryStart)]
@@ -155,7 +168,7 @@ def test_query_brackets_assign_scoped_ids():
 
 
 def test_parse_trace_reports_line_numbers():
-    good = QueryStart(query=1, label="q", executor="row", parallel=False)
+    good = QueryStart(query=1, label="q", executor="row")
     line = json.dumps(good.to_dict())
     with pytest.raises(TraceFormatError, match="line 2"):
         parse_trace(line + "\n{broken\n")
@@ -169,7 +182,7 @@ def test_read_trace_wraps_io_errors(tmp_path):
         read_trace(str(tmp_path / "missing.jsonl"))
     path = tmp_path / "trace.jsonl"
     recorder = TraceRecorder()
-    query = recorder.begin_query(label="q", executor="row", parallel=True)
+    query = recorder.begin_query(label="q", executor="row")
     recorder.end_query(query, at=0.5, status="ok", rows=3)
     assert recorder.write(str(path)) == 2
     assert read_trace(str(path)) == recorder.events()

@@ -1,15 +1,13 @@
 """Trace determinism: the recorder's JSONL serialization is a pure
 function of (query, policies, seed, executor) — byte-identical across
-runs, even though the fragment scheduler completes transfers in
-nondeterministic ``FIRST_COMPLETED`` order and the server runs queries
-on a thread pool.
+runs of the engine and of the query server.
 
 Determinism is what makes traces diffable (CI can compare a trace
 against a golden file) and what lets the auditor's verdict be
 reproduced exactly from a stored artifact.  It holds because events
-carry only simulated-clock timestamps (never wall-clock), serialization
-sorts canonically, and scheduler-emitted events are explicitly marked
-order-unstable so their tie-break is content-based.
+carry only simulated-clock timestamps (never wall-clock), every
+emitting path is single-threaded, and serialization sorts by simulated
+instant with ties kept in emission order.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from repro.tpch import QUERIES, curated_policies
 from repro.trace import TraceRecorder, parse_trace, tracing
 
 
-def _traced_engine_run(tpch_small, tpch_network, executor, parallel, fault_seed):
+def _traced_engine_run(tpch_small, tpch_network, executor, fault_seed):
     """One full optimize + execute pass under a fresh recorder."""
     catalog, database = tpch_small
     optimizer = CompliantOptimizer(
@@ -31,14 +29,13 @@ def _traced_engine_run(tpch_small, tpch_network, executor, parallel, fault_seed)
     )
     faults = (
         FaultPlan.random(fault_seed, catalog.locations)
-        if parallel and fault_seed is not None
+        if fault_seed is not None
         else None
     )
     engine = ExecutionEngine(
         database,
         tpch_network,
         policy_guard=optimizer.evaluator,
-        parallel=parallel,
         executor=executor,
         faults=faults,
         retry_policy=RetryPolicy(max_retries=6) if faults else None,
@@ -51,20 +48,12 @@ def _traced_engine_run(tpch_small, tpch_network, executor, parallel, fault_seed)
 
 
 @pytest.mark.parametrize("executor", ["row", "batch"])
-@pytest.mark.parametrize(
-    "parallel,fault_seed",
-    [(False, None), (True, None), (True, 11)],
-    ids=["sequential", "parallel", "parallel-faults"],
-)
+@pytest.mark.parametrize("fault_seed", [None, 11], ids=["parallel", "parallel-faults"])
 def test_engine_trace_is_byte_identical(
-    tpch_small, tpch_network, executor, parallel, fault_seed
+    tpch_small, tpch_network, executor, fault_seed
 ):
-    first = _traced_engine_run(
-        tpch_small, tpch_network, executor, parallel, fault_seed
-    )
-    second = _traced_engine_run(
-        tpch_small, tpch_network, executor, parallel, fault_seed
-    )
+    first = _traced_engine_run(tpch_small, tpch_network, executor, fault_seed)
+    second = _traced_engine_run(tpch_small, tpch_network, executor, fault_seed)
     assert first == second
     assert first.endswith("\n")
     events = parse_trace(first)
@@ -110,7 +99,7 @@ def test_server_workload_trace_is_byte_identical(tpch_small, tpch_network):
 def test_trace_round_trips_through_jsonl(tpch_small, tpch_network):
     """parse(serialize(events)) reproduces the events exactly: the
     auditor sees the same data whether fed live events or a file."""
-    text = _traced_engine_run(tpch_small, tpch_network, "row", True, 11)
+    text = _traced_engine_run(tpch_small, tpch_network, "row", 11)
     events = parse_trace(text)
     recorder = TraceRecorder()
     for event in events:
